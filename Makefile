@@ -97,14 +97,13 @@ profile-demo:
 
 # trace-demo exercises the request-scoped tracing plane end to end
 # (docs/tracing.md): the multi-tenant workload with a compartment fault
-# injected into every 40th request under the retry policy, the adaptive
-# sampling controller live, and the retained traces + per-tenant latency
-# report exported and validated — tracecheck fails unless at least one
+# injected into every 40th request under the retry policy, and the
+# retained traces + per-tenant latency report exported and validated — tracecheck fails unless at least one
 # trace correlates gate entry, fault and recovery under one trace ID.
 trace-demo:
 	@echo "--- multi-tenant workload: injected faults under retry, traced ---"
 	go run ./cmd/pkru-servo -domains=24 -domain-workers 4 -domain-cycles 500 \
-		-recover retry -inject-fault 40 -adapt-target 2us \
+		-recover retry -inject-fault 40 \
 		-trace-json /tmp/pkru-trace-demo.json -latency-out /tmp/pkru-latency-demo.json
 	@echo "--- timeline + latency report validation ---"
 	go run ./scripts/tracecheck /tmp/pkru-trace-demo.json /tmp/pkru-latency-demo.json

@@ -55,9 +55,7 @@
 // -latency-out writes a schema-versioned per-tenant latency report
 // (p50/p95/p99 and throughput, the numbers behind BENCH_gatetrace.json);
 // -trace-json writes the retained traces as Chrome trace_event JSON
-// loadable in chrome://tracing or Perfetto; -adapt-target wires the
-// adaptive controller that retunes the crossing sampler's interval from
-// the live gate-latency p99.
+// loadable in chrome://tracing or Perfetto.
 //
 // -profile-store closes the profiling loop (docs/profiling.md): the
 // active generation of a generational profile store supplies the applied
@@ -148,8 +146,7 @@ func main() {
 	latencyOut := flag.String("latency-out", "", `write a schema-versioned per-tenant latency/throughput report to this path ("-" = stdout)`)
 	tailThreshold := flag.Duration("trace-tail", 0, "additionally retain clean request traces at least this slow (0 = flagged traces only)")
 	injectFault := flag.String("inject-fault", "", `-domains only: inject compartment faults ("40" = every 40th request; "tenant3:0.2" = 20% of tenant3's requests; "tenant3:5" = every 5th of tenant3's)`)
-	adaptTarget := flag.Duration("adapt-target", 0, "retune the crossing sampler's interval from the live gate-latency p99 around this target (0 = off)")
-	sampleInterval := flag.Int("sample-interval", 8, "initial crossing-sampler interval for the -domains workload")
+	sampleInterval := flag.Int("sample-interval", 8, "crossing-sampler interval for the -domains workload")
 	nDomains := flag.Int("domains", 0, "run the multi-tenant domain workload with this many logical domains instead of the browser")
 	domainWorkers := flag.Int("domain-workers", 4, "concurrent worker threads for the -domains workload")
 	domainCycles := flag.Int("domain-cycles", 2000, "domain entries per worker for the -domains workload")
@@ -175,7 +172,6 @@ func main() {
 			traceOut:       *traceOut,
 			tailThreshold:  *tailThreshold,
 			fault:          faultSpec,
-			adaptTarget:    *adaptTarget,
 			sampleInterval: *sampleInterval,
 			hostile:        *hostile,
 			churn:          *churn,
@@ -294,8 +290,6 @@ func main() {
 	b, err := browser.New(cfg, prof, opts)
 	exitOn(err)
 
-	ctlStop := startController(*adaptTarget, b.Prog.Crossings(), reg)
-
 	var srv *obs.Server
 	if *listen != "" {
 		srv, err = obs.ListenAndServe(*listen, obs.ServerConfig{
@@ -344,7 +338,6 @@ func main() {
 		fmt.Printf("script result: %g\n", result)
 	}
 	elapsed := time.Since(loopStart)
-	stopController(ctlStop)
 	if dropped > 0 {
 		fmt.Fprintf(os.Stderr, "pkru-servo: crash averted: served %d/%d request(s), dropped %d under policy %s\n",
 			served, *requests, dropped, policy)
@@ -405,7 +398,6 @@ type domainRunConfig struct {
 	traceOut           string
 	tailThreshold      time.Duration
 	fault              workload.FaultSpec
-	adaptTarget        time.Duration
 	sampleInterval     int
 	hostile            string
 	churn              bool
@@ -429,7 +421,7 @@ type tenantsView struct {
 // context, so gate latency, faults, recovery actions and the evictions a
 // request triggers all land on one per-tenant trace. Cross-tenant probes
 // must deny; churn must recycle both key slots and pool regions. The
-// virtual-key telemetry, the per-domain gate-latency histograms and
+// virtual-key telemetry, the per-library gate-latency histograms and
 // /trace.json + /domains.json are live on -listen for the duration.
 func runDomains(o domainRunConfig) {
 	if o.workers < 1 {
@@ -477,8 +469,6 @@ func runDomains(o domainRunConfig) {
 	// budget spent — while every other tenant keeps its throughput.
 	breakers := resilience.NewGroup(resilience.Config{ProbeAfter: o.probeAfter})
 	breakers.SetTelemetry(reg)
-
-	ctlStop := startController(o.adaptTarget, sampler, reg)
 
 	var srv *obs.Server
 	if o.listen != "" {
@@ -760,7 +750,6 @@ churn:
 	}
 	<-done
 	elapsed := time.Since(start)
-	stopController(ctlStop)
 
 	st := m.Table().Stats()
 	ts := tracer.Stats()
@@ -868,29 +857,6 @@ churn:
 	}
 }
 
-// startController launches the adaptive sampling controller when a
-// target is set and a sampler exists, returning the stop channel (nil
-// when not started). The controller steers the crossing sampler's
-// interval around the live per-domain gate-latency p99.
-func startController(target time.Duration, sampler *profstore.Sampler, reg *telemetry.Registry) chan struct{} {
-	if target <= 0 || sampler == nil || reg == nil {
-		return nil
-	}
-	ctl := &gatetrace.Controller{Sampler: sampler, Registry: reg, Target: target}
-	stop := make(chan struct{})
-	go ctl.Run(stop, 100*time.Millisecond, func(r gatetrace.Retuning) {
-		fmt.Fprintf(os.Stderr, "pkru-servo: sampler retuned: interval %d -> %d (gate p99 %v over %d obs)\n",
-			r.Old, r.New, r.P99, r.Count)
-	})
-	return stop
-}
-
-func stopController(stop chan struct{}) {
-	if stop != nil {
-		close(stop)
-	}
-}
-
 // benchSchema versions the -latency-out report, like the other BENCH_*
 // seeds in the repo root.
 const benchSchema = 1
@@ -940,19 +906,6 @@ type latencyReport struct {
 	Tenants       []tenantLatency `json:"tenants"`
 }
 
-// quantile reads the q-quantile from an ascending-sorted sample set by
-// nearest-rank; exact for the sample, no interpolation.
-func quantile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q*float64(len(sorted)-1) + 0.5)
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
 // writeLatencyReport fills the per-tenant rows from the recorder and
 // writes the schema-versioned JSON.
 func writeLatencyReport(path string, rep latencyReport, lr *latencyRecorder, elapsed time.Duration) {
@@ -973,9 +926,9 @@ func writeLatencyReport(path string, rep latencyReport, lr *latencyRecorder, ela
 		row := tenantLatency{
 			Tenant:   t,
 			Requests: len(samples),
-			P50Ns:    quantile(samples, 0.50).Nanoseconds(),
-			P95Ns:    quantile(samples, 0.95).Nanoseconds(),
-			P99Ns:    quantile(samples, 0.99).Nanoseconds(),
+			P50Ns:    telemetry.SampleQuantile(samples, 0.50).Nanoseconds(),
+			P95Ns:    telemetry.SampleQuantile(samples, 0.95).Nanoseconds(),
+			P99Ns:    telemetry.SampleQuantile(samples, 0.99).Nanoseconds(),
 		}
 		if rep.ElapsedS > 0 {
 			row.ThroughputRPS = float64(len(samples)) / rep.ElapsedS

@@ -13,6 +13,7 @@ import (
 	"repro/internal/gatetrace"
 	"repro/internal/resilience"
 	"repro/internal/supervise"
+	"repro/internal/telemetry"
 	"repro/internal/vm"
 )
 
@@ -179,27 +180,14 @@ func runResilienceScenario(name string, iters, hostileIdx int) (ResilienceResult
 	}
 	sort.Slice(healthy, func(a, b int) bool { return healthy[a] < healthy[b] })
 	res.HealthyRequests = len(healthy)
-	res.HealthyP50 = durQuantile(healthy, 0.50)
-	res.HealthyP99 = durQuantile(healthy, 0.99)
+	res.HealthyP50 = telemetry.SampleQuantile(healthy, 0.50)
+	res.HealthyP99 = telemetry.SampleQuantile(healthy, 0.99)
 	if hostileIdx >= 0 {
 		if e, ok := w.m.Allocator().DomainEpoch(w.names[hostileIdx]); ok {
 			res.HostileEpochs = e
 		}
 	}
 	return res, nil
-}
-
-// durQuantile reads the q-quantile from ascending-sorted samples by
-// nearest-rank.
-func durQuantile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q*float64(len(sorted)-1) + 0.5)
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // RunResilience measures the containment overhead: healthy-tenant gate

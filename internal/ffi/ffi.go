@@ -45,6 +45,9 @@ type Library struct {
 	Name  string
 	Trust Trust
 	funcs map[string]Func
+	// gateSpan names the trace spans of gates into the library, built
+	// once so that tracing a gate allocates no string.
+	gateSpan string
 }
 
 // Define registers a function in the library, replacing any previous
@@ -143,7 +146,7 @@ func (r *Registry) Library(name string, trust Trust) (*Library, error) {
 		}
 		return l, nil
 	}
-	l := &Library{Name: name, Trust: trust, funcs: make(map[string]Func)}
+	l := &Library{Name: name, Trust: trust, funcs: make(map[string]Func), gateSpan: "gate:" + name}
 	r.libs[name] = l
 	return l, nil
 }

@@ -128,10 +128,11 @@ func (rt *Runtime) domainBinding(lib string) (DomainBinding, bool) {
 
 // CrossingSink receives one observation per forward (T→U) gate traversal:
 // the target library, the argument words the call carried across the
-// boundary, and the gate's enter→restore latency. The profiling plane's
-// crossing sampler implements this to attribute boundary crossings to
-// allocation sites; the interface lives here so implementations need not
-// import ffi. Observations are delivered from the gate's exit path, after
+// boundary, and the gate's enter→restore latency — the same duration the
+// gate-latency histogram and the request's trace span receive. The
+// profiling plane's crossing sampler implements this to attribute
+// boundary crossings to allocation sites; the interface lives here so
+// implementations need not import ffi. Observations are delivered from the gate's exit path, after
 // rights are restored, so a sink may safely inspect trusted state.
 type CrossingSink interface {
 	ObserveCrossing(lib string, args []uint64, latency time.Duration)
@@ -155,10 +156,10 @@ type runtimeTelemetry struct {
 }
 
 // SetTelemetry attaches the runtime (and every thread minted afterwards)
-// to a metrics registry: gate crossings are counted by direction, each
-// gated call's enter→exit latency is observed into a per-library
-// histogram, and threads promote their access/fault counters into the
-// registry. A nil registry detaches.
+// to a metrics registry: gates that open are counted by direction, each
+// one's enter→restore latency is observed into a per-library histogram,
+// and threads promote their access/fault counters into the registry. A
+// nil registry detaches.
 func (rt *Runtime) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		rt.tel = nil
@@ -353,7 +354,7 @@ func (t *Thread) Call(lib, fn string, args ...uint64) ([]uint64, error) {
 			}
 		}
 		if gated {
-			return t.throughGate(l.Name, l.Trust, target, dom, f, args)
+			return t.throughGate(l, target, dom, f, args)
 		}
 	}
 	return t.plainCall(l.Name, l.Trust, f, args)
@@ -406,35 +407,23 @@ func (t *Thread) plainCall(libName string, trust Trust, f Func, args []uint64) (
 // re-derive through vkey.Refresh for the same reason; only a runtime with
 // no domain bindings replays saved bits, which are then always one of the
 // two static compartment values.
-func (t *Thread) throughGate(libName string, trust Trust, target mpk.PKRU, dom *DomainBinding, f Func, args []uint64) (res []uint64, err error) {
-	var sp telemetry.Span
-	if tel := t.rt.tel; tel != nil {
-		if trust == Untrusted {
-			tel.enterU.Inc()
-		} else {
-			tel.enterT.Inc()
-		}
-		sp = telemetry.StartSpan(tel.gateLat.With(libName), t.rt.ring, "gate:"+libName)
+//
+// Each gate makes one observation. When any observer is attached it
+// reads the clock once, before the enter WRPKRU, and its exit half hands
+// the one enter→restore duration to every observer: the per-library
+// latency histogram, the request's trace context and, for a forward
+// gate, the crossing sampler. With none attached it reads no clock.
+// Only a gate that opened is counted or observed; the ring records its
+// enter at entry, so a crash report has it before the callee faults.
+func (t *Thread) throughGate(l *Library, target mpk.PKRU, dom *DomainBinding, f Func, args []uint64) (res []uint64, err error) {
+	tel, tc, ring := t.rt.tel, t.tc, t.rt.ring
+	var sink CrossingSink
+	if l.Trust == Untrusted {
+		sink = t.rt.sink
 	}
-	// The request-scoped trace span is attributed to the compartment
-	// *domain* — the tenant pool when one is bound, the target library
-	// otherwise — because that is the axis slot pressure and per-tenant
-	// latency blame live on.
-	domainLabel := libName
-	if dom != nil && dom.Pool != "" {
-		domainLabel = dom.Pool
-	}
-	endTraceSpan := t.tc.GateSpan(domainLabel)
-	// Forward crossings are the profiling plane's signal: what trusted data
-	// flowed into U and through which gate. The timestamp is taken before
-	// the enter WRPKRU so the reported latency matches the gate-latency
-	// histogram's enter→restore span.
-	sink := t.rt.sink
-	var crossStart time.Time
-	if sink != nil && trust == Untrusted {
-		crossStart = time.Now()
-	} else {
-		sink = nil
+	var start time.Time
+	if tel != nil || tc != nil || sink != nil {
+		start = time.Now()
 	}
 	prev := t.VM.Rights()
 	var enterErr error
@@ -447,21 +436,19 @@ func (t *Thread) throughGate(libName string, trust Trust, target mpk.PKRU, dom *
 			// was freed, or no slot could be found. Fail closed without
 			// running the callee; nothing was installed, so there are no
 			// gate frames to unwind and the runtime stays alive.
-			sp.End()
-			endTraceSpan()
-			t.tc.Instant("gate-refused", domainLabel, enterErr.Error())
-			return nil, fmt.Errorf("ffi: entering domain for %s: %w", libName, enterErr)
+			tc.Instant("gate-refused", l.Name, enterErr.Error())
+			return nil, fmt.Errorf("ffi: entering domain for %s: %w", l.Name, enterErr)
 		}
 	}
 	t.stack = append(t.stack, prev)
-	t.trust = append(t.trust, trust)
-	t.libs = append(t.libs, libName)
+	t.trust = append(t.trust, l.Trust)
+	t.libs = append(t.libs, l.Name)
 	if dom == nil {
 		enterErr = mpk.InstallAudited(t.VM, target)
 	}
 	wrpkruDelay(t.rt.gateCost)
-	if t.rt.ring != nil {
-		t.rt.ring.Emit(trace.Event{Kind: trace.GateEnter, A: uint64(uint32(target))})
+	if ring != nil {
+		ring.Emit(trace.Event{Kind: trace.GateEnter, A: uint64(uint32(target))})
 	}
 	defer func() {
 		t.trust = t.trust[:len(t.trust)-1]
@@ -496,13 +483,21 @@ func (t *Thread) throughGate(libName string, trust Trust, target mpk.PKRU, dom *
 			t.rt.aborted.Store(true)
 		}
 		wrpkruDelay(t.rt.gateCost)
-		if t.rt.ring != nil {
-			t.rt.ring.Emit(trace.Event{Kind: trace.GateExit, A: uint64(uint32(restored))})
+		if ring != nil {
+			ring.Emit(trace.Event{Kind: trace.GateExit, A: uint64(uint32(restored))})
 		}
-		sp.End()
-		endTraceSpan()
+		if enterErr != nil || start.IsZero() {
+			return
+		}
+		d := time.Since(start)
+		var hist *telemetry.Histogram
+		if tel != nil {
+			hist = tel.gateLat.With(l.Name)
+			hist.Observe(uint64(d))
+		}
+		tc.Gate(l.gateSpan, l.Name, start, d, hist)
 		if sink != nil {
-			sink.ObserveCrossing(libName, args, time.Since(crossStart))
+			sink.ObserveCrossing(l.Name, args, d)
 		}
 	}()
 	// The gate's self-check: the PKRU we installed must be the one the gate
@@ -513,6 +508,13 @@ func (t *Thread) throughGate(libName string, trust Trust, target mpk.PKRU, dom *
 		return nil, fmt.Errorf("%w: %v", ErrGateTampered, enterErr)
 	}
 	t.rt.transitions.Add(1)
+	if tel != nil {
+		if l.Trust == Untrusted {
+			tel.enterU.Inc()
+		} else {
+			tel.enterT.Inc()
+		}
+	}
 	return f(t, args)
 }
 

@@ -13,13 +13,15 @@
 // workload. Both are per-request, per-domain phenomena, so the evidence
 // trail must be too.
 //
-// The layer is tail-based: every finished Context updates the per-domain
-// gate-latency and per-tenant request-latency histograms (with exemplar
-// trace IDs, so a tail bucket in /metrics names a trace to go look at),
-// but only the traces worth reading — those that faulted, recovered,
-// suffered an eviction, or ran slower than the configured threshold — are
-// retained in full. Retained traces export as Chrome trace_event JSON
-// (see export.go) viewable in chrome://tracing or Perfetto.
+// The layer is tail-based: every finished Context updates the per-tenant
+// request-latency histogram, but only the traces worth reading — those
+// that faulted, recovered, moved a circuit breaker, or ran slower than
+// the configured threshold — are retained in full. A retained trace
+// publishes its ID as the exemplar of its request-latency bucket and of
+// its slowest gate's bucket in ffi's gate-latency histogram, so a tail
+// bucket in /metrics names a trace that can still be read. Retained
+// traces export as Chrome trace_event JSON (see export.go) viewable in
+// chrome://tracing or Perfetto.
 //
 // Every method on a nil *Tracer or nil *Context is a no-op, so the gate
 // machinery instruments unconditionally and pays one pointer test when
@@ -27,7 +29,7 @@
 package gatetrace
 
 import (
-	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,19 +38,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Metric family names registered by New. Exported so the obs plane and
-// the adaptive controller agree on them without string duplication.
-const (
-	// GateLatencyMetric is the per-domain gate enter→restore latency
-	// histogram (label: domain). Distinct from ffi's per-library family:
-	// this one is attributed to the *compartment domain* a traced request
-	// crossed into, which is the axis slot pressure and tenant blame live
-	// on.
-	GateLatencyMetric = "pkrusafe_domain_gate_latency_ns"
-	// RequestLatencyMetric is the per-tenant whole-request latency
-	// histogram (label: tenant).
-	RequestLatencyMetric = "pkrusafe_request_latency_ns"
-)
+// RequestLatencyMetric names the per-tenant whole-request latency
+// histogram New registers (label: tenant).
+const RequestLatencyMetric = "pkrusafe_request_latency_ns"
 
 // Config parameterizes New.
 type Config struct {
@@ -56,31 +48,29 @@ type Config struct {
 	Capacity int
 	// TailThreshold, when > 0, additionally retains any trace whose total
 	// latency meets it — the "slow but clean" tail. Zero keeps only
-	// flagged traces (fault / recovery / eviction).
+	// flagged traces (fault / recovery / breaker move).
 	TailThreshold time.Duration
 	// RetainAll keeps every finished trace (CLI `pkrusafe trace` mode).
 	RetainAll bool
-	// Registry receives the gate- and request-latency histogram families.
-	// Nil disables metrics but not retention.
+	// Registry receives the request-latency histogram family. Nil
+	// disables metrics but not retention.
 	Registry *telemetry.Registry
 }
 
-// Tracer mints contexts, owns the latency histograms and the retained
-// ring, and maps rights registers back to the context currently driving
-// them (for eviction attribution). Safe for concurrent use.
+// Tracer mints contexts, owns the request-latency histogram and the
+// retained ring, and maps rights registers back to the context currently
+// driving them (for eviction attribution). Safe for concurrent use.
 type Tracer struct {
-	cfg     Config
-	epoch   time.Time
-	gateLat *telemetry.HistogramVec
-	reqLat  *telemetry.HistogramVec
-	nextID  atomic.Uint64
+	cfg      Config
+	epoch    time.Time
+	reqLat   *telemetry.HistogramVec
+	started  atomic.Uint64 // also the last trace ID minted
+	finished atomic.Uint64
+	dropped  atomic.Uint64 // finished but not retained
 
 	mu       sync.Mutex
 	retained []*Trace // ring, oldest overwritten
 	next     uint64   // total retained ever
-	started  uint64
-	finished uint64
-	dropped  uint64 // finished but not retained
 	binds    map[mpk.RightsRegister]*Context
 }
 
@@ -103,7 +93,7 @@ type Trace struct {
 	Total     time.Duration `json:"total"`
 	Faulted   bool          `json:"faulted,omitempty"`
 	Recovered bool          `json:"recovered,omitempty"`
-	Evicted   bool          `json:"evicted,omitempty"`
+	Evicted   bool          `json:"evicted,omitempty"` // informational: does not force retention
 	Breaker   bool          `json:"breaker,omitempty"` // moved a tenant circuit breaker
 	Spans     []Span        `json:"spans"`
 }
@@ -128,8 +118,6 @@ func New(cfg Config) *Tracer {
 		binds: make(map[mpk.RightsRegister]*Context),
 	}
 	if reg := cfg.Registry; reg != nil {
-		t.gateLat = reg.HistogramVec(GateLatencyMetric,
-			"Gate enter-to-restore latency of traced crossings, by compartment domain.", "ns", "domain")
 		t.reqLat = reg.HistogramVec(RequestLatencyMetric,
 			"Whole-request latency of traced requests, by tenant.", "ns", "tenant")
 	}
@@ -138,20 +126,21 @@ func New(cfg Config) *Tracer {
 
 // Start opens a request-scoped context under the given tenant label.
 // Returns nil on a nil tracer — and every Context method is nil-safe, so
-// the caller threads the result through unconditionally.
+// the caller threads the result through unconditionally. Start takes no
+// lock and formats nothing: the trace ID is a number until a reader asks
+// for its text.
 func (t *Tracer) Start(tenant string) *Context {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	t.started++
-	t.mu.Unlock()
-	return &Context{
+	c := &Context{
 		tr:     t,
-		id:     fmt.Sprintf("t%d", t.nextID.Add(1)),
+		id:     t.started.Add(1),
 		tenant: tenant,
 		start:  time.Now(),
 	}
+	c.spans = c.firstSpan[:0]
+	return c
 }
 
 // Bind associates a rights register with the context currently driving
@@ -220,38 +209,32 @@ func (t *Tracer) Stats() Stats {
 		return Stats{}
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return Stats{Started: t.started, Finished: t.finished, Retained: t.next, Dropped: t.dropped}
+	retained := t.next
+	t.mu.Unlock()
+	return Stats{Started: t.started.Load(), Finished: t.finished.Load(), Retained: retained, Dropped: t.dropped.Load()}
 }
 
-// observeGate records one gate traversal's latency into the per-domain
-// histogram. The trace ID rides along as the bucket exemplar, so the tail
-// buckets of /metrics name retained traces to go read.
-func (t *Tracer) observeGate(domain string, dur time.Duration, id string) {
-	if t == nil {
-		return
-	}
-	t.gateLat.With(domain).ObserveEx(uint64(dur), id)
-}
-
-// finish files a completed context: histograms always, full retention
-// only for traces worth reading.
+// finish files a completed context, called with c.mu held: the request
+// histogram always, full retention only for traces worth reading. An
+// eviction alone is not worth reading — on an oversubscribed key table
+// nearly every request evicts — so it is recorded in the spans but does
+// not force retention. A retained trace publishes its ID as the exemplar
+// of its request-latency bucket and of its slowest gate's bucket.
 func (t *Tracer) finish(c *Context, total time.Duration) {
-	if t == nil {
-		return
-	}
-	t.reqLat.With(c.tenant).ObserveEx(uint64(total), c.id)
-	keep := t.cfg.RetainAll || c.faulted || c.recovered || c.evicted || c.breaker ||
+	keep := t.cfg.RetainAll || c.faulted || c.recovered || c.breaker ||
 		(t.cfg.TailThreshold > 0 && total >= t.cfg.TailThreshold)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.finished++
+	t.finished.Add(1)
+	req := t.reqLat.With(c.tenant)
 	if !keep {
-		t.dropped++
+		req.Observe(uint64(total))
+		t.dropped.Add(1)
 		return
 	}
+	id := c.ID()
+	req.ObserveEx(uint64(total), id)
+	c.slowGate.SetExemplar(uint64(c.slowDur), id)
 	tr := &Trace{
-		ID:        c.id,
+		ID:        id,
 		Tenant:    c.tenant,
 		Offset:    c.start.Sub(t.epoch),
 		Total:     total,
@@ -261,6 +244,8 @@ func (t *Tracer) finish(c *Context, total time.Duration) {
 		Breaker:   c.breaker,
 		Spans:     c.spans, // ownership transfers; the context is finished
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if len(t.retained) < t.cfg.Capacity {
 		t.retained = append(t.retained, tr)
 	} else {
@@ -274,17 +259,22 @@ func (t *Tracer) finish(c *Context, total time.Duration) {
 // the supervisor marks recovery from the shield frame).
 type Context struct {
 	tr     *Tracer
-	id     string
+	id     uint64
 	tenant string
 	start  time.Time
 
 	mu        sync.Mutex
 	spans     []Span
+	firstSpan [2]Span // spans' first backing array: room for a gate and the eviction its entry caused
 	faulted   bool
 	recovered bool
 	evicted   bool
 	breaker   bool
 	done      bool
+	// The slowest gate of the request and the gate-latency series it
+	// was observed into: its exemplar if the trace is retained.
+	slowGate *telemetry.Histogram
+	slowDur  time.Duration
 }
 
 // ID returns the trace ID ("" on nil).
@@ -292,7 +282,7 @@ func (c *Context) ID() string {
 	if c == nil {
 		return ""
 	}
-	return c.id
+	return "t" + strconv.FormatUint(c.id, 10)
 }
 
 // Tenant returns the tenant label ("" on nil).
@@ -316,23 +306,23 @@ func (c *Context) add(s Span) {
 	c.mu.Unlock()
 }
 
-// GateSpan opens a timed gate-traversal span into the named domain and
-// returns its closer, shaped for the gate's defer-based exit half:
-//
-//	end := ctx.GateSpan("libu")
-//	defer end()
-//
-// The closer also observes the per-domain gate-latency histogram.
-func (c *Context) GateSpan(domain string) func() {
+// Gate records one gate traversal as a span named name into domain: the
+// gate read the clock at start, before its enter WRPKRU, and measured d
+// to its restore. hist is the gate-latency series the gate observed d
+// into (nil without telemetry); if the trace is retained, its slowest
+// gate becomes that series' exemplar.
+func (c *Context) Gate(name, domain string, start time.Time, d time.Duration, hist *telemetry.Histogram) {
 	if c == nil {
-		return func() {}
+		return
 	}
-	start := c.since()
-	return func() {
-		dur := c.since() - start
-		c.add(Span{Name: "gate:" + domain, Domain: domain, Start: start, Dur: dur})
-		c.tr.observeGate(domain, dur, c.id)
+	c.mu.Lock()
+	if !c.done {
+		c.spans = append(c.spans, Span{Name: name, Domain: domain, Start: start.Sub(c.start), Dur: d})
+		if hist != nil && d >= c.slowDur {
+			c.slowGate, c.slowDur = hist, d
+		}
 	}
+	c.mu.Unlock()
 }
 
 // Span opens a generic timed span (request bodies, domain enter/leave
@@ -395,7 +385,9 @@ func (c *Context) MarkBreaker(toState, tenant, reason string) {
 	c.Instant("breaker:"+toState, tenant, reason)
 }
 
-// MarkEviction flags the trace as having triggered a vkey slot eviction.
+// MarkEviction records that the request triggered a vkey slot eviction.
+// The instant lands in the trace's spans, but an eviction alone does not
+// force retention.
 func (c *Context) MarkEviction(victim string, slot mpk.Key) {
 	if c == nil {
 		return
@@ -403,17 +395,7 @@ func (c *Context) MarkEviction(victim string, slot mpk.Key) {
 	c.mu.Lock()
 	c.evicted = true
 	c.mu.Unlock()
-	c.Instant("evict:"+victim, victim, fmt.Sprintf("slot=%d", slot))
-}
-
-// Flagged reports whether the trace has hit a retention-forcing event.
-func (c *Context) Flagged() bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.faulted || c.recovered || c.evicted || c.breaker
+	c.Instant("evict:"+victim, victim, "slot="+strconv.Itoa(int(slot)))
 }
 
 // Finish closes the context: the per-tenant request-latency histogram is
@@ -425,11 +407,10 @@ func (c *Context) Finish() {
 	}
 	total := c.since()
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.done {
-		c.mu.Unlock()
 		return
 	}
 	c.done = true
-	c.mu.Unlock()
 	c.tr.finish(c, total)
 }

@@ -19,12 +19,19 @@ type fakeReg struct{ r mpk.PKRU }
 func (f *fakeReg) Rights() mpk.PKRU     { return f.r }
 func (f *fakeReg) SetRights(v mpk.PKRU) { f.r = v }
 
+// gate records a finished gate traversal into libu the way ffi does:
+// observed into the gate-latency series, then handed to the context.
+func gate(c *Context, hist *telemetry.Histogram, d time.Duration) {
+	hist.Observe(uint64(d))
+	c.Gate("gate:libu", "libu", time.Now(), d, hist)
+}
+
 func TestRetentionPolicy(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tr := New(Config{Capacity: 8, TailThreshold: 50 * time.Millisecond, Registry: reg})
 
 	clean := tr.Start("alpha")
-	clean.GateSpan("libu")()
+	gate(clean, nil, time.Microsecond)
 	clean.Finish()
 
 	faulted := tr.Start("beta")
@@ -35,32 +42,79 @@ func TestRetentionPolicy(t *testing.T) {
 	recovered.MarkRecovery("retry", "pku fault")
 	recovered.Finish()
 
+	// An eviction alone does not force retention: on an oversubscribed
+	// key table nearly every request evicts.
 	evicted := tr.Start("gamma")
 	evicted.MarkEviction("vkey3", 5)
 	evicted.Finish()
 
 	got := tr.Retained()
-	if len(got) != 3 {
-		t.Fatalf("retained %d traces, want 3 (clean trace must be dropped)", len(got))
+	if len(got) != 2 {
+		t.Fatalf("retained %d traces, want 2 (clean and evicted traces must be dropped)", len(got))
 	}
 	if got[0].Tenant != "beta" || !got[0].Faulted {
 		t.Errorf("first retained = %+v, want beta/faulted", got[0])
 	}
-	if !got[1].Recovered || !got[2].Evicted {
-		t.Errorf("flags lost: %+v %+v", got[1], got[2])
+	if !got[1].Recovered {
+		t.Errorf("flags lost: %+v", got[1])
 	}
 	st := tr.Stats()
-	if st.Started != 4 || st.Finished != 4 || st.Retained != 3 || st.Dropped != 1 {
+	if st.Started != 4 || st.Finished != 4 || st.Retained != 2 || st.Dropped != 2 {
 		t.Errorf("stats = %+v", st)
 	}
 
-	// The dropped trace still fed the histograms: all four requests and
-	// the one gate observation are in the registry.
+	// The dropped traces still fed the request histogram.
 	if _, count, ok := reg.HistogramQuantiles(RequestLatencyMetric, 0.5); !ok || count != 4 {
 		t.Errorf("request histogram count = %d ok=%v, want 4", count, ok)
 	}
-	if _, count, ok := reg.HistogramQuantiles(GateLatencyMetric, 0.5); !ok || count != 1 {
-		t.Errorf("gate histogram count = %d ok=%v, want 1", count, ok)
+
+	// With RetainAll the eviction is on the trace: flag and instant.
+	all := New(Config{Capacity: 2, RetainAll: true})
+	c := all.Start("gamma")
+	c.MarkEviction("vkey3", 5)
+	c.Finish()
+	if got := all.Retained(); len(got) != 1 || !got[0].Evicted || got[0].Spans[0].Name != "evict:vkey3" {
+		t.Errorf("eviction not recorded: %+v", got)
+	}
+}
+
+// TestExemplarsNameRetainedTraces pins that exemplars only ever point at
+// traces that can still be read: a retained trace publishes its ID on its
+// slowest gate's bucket and its request bucket; a dropped one on neither.
+func TestExemplarsNameRetainedTraces(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	tr := New(Config{Capacity: 4, Registry: reg})
+	hist := new(telemetry.Histogram)
+
+	clean := tr.Start("alpha")
+	gate(clean, hist, 3*time.Microsecond)
+	clean.Finish()
+	if ex := hist.Exemplars(); len(ex) != 0 {
+		t.Fatalf("dropped trace published exemplars %+v", ex)
+	}
+
+	faulted := tr.Start("alpha")
+	gate(faulted, hist, 100*time.Microsecond)
+	gate(faulted, hist, 2*time.Microsecond)
+	faulted.MarkFault("injected")
+	faulted.Finish()
+	ex := hist.Exemplars()
+	if len(ex) != 1 || ex[0].TraceID != faulted.ID() || ex[0].Value != uint64(100*time.Microsecond) {
+		t.Errorf("gate exemplars = %+v, want the slowest gate of %s", ex, faulted.ID())
+	}
+	if hist.Count() != 3 {
+		t.Errorf("gate histogram count = %d, want 3", hist.Count())
+	}
+	var reqEx []telemetry.Exemplar
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == RequestLatencyMetric {
+			for _, s := range m.Series {
+				reqEx = append(reqEx, s.Exemplars...)
+			}
+		}
+	}
+	if len(reqEx) != 1 || reqEx[0].TraceID != faulted.ID() {
+		t.Errorf("request exemplars = %+v, want one naming %s", reqEx, faulted.ID())
 	}
 }
 
@@ -103,12 +157,10 @@ func TestRetainAllAndRingWrap(t *testing.T) {
 func TestCorrelation(t *testing.T) {
 	tr := New(Config{Capacity: 4})
 	c := tr.Start("tenant-a")
-	end := c.GateSpan("libu")
 	c.MarkFault("addr=0x2000 pkey=1")
-	end()
+	gate(c, nil, time.Microsecond)
 	c.MarkRecovery("retry", "pku fault in libu")
-	end2 := c.GateSpan("libu")
-	end2()
+	gate(c, nil, time.Microsecond)
 	c.Finish()
 
 	got := tr.Retained()
@@ -141,7 +193,8 @@ func TestCorrelation(t *testing.T) {
 }
 
 func TestEvictionAttributionViaBinds(t *testing.T) {
-	tr := New(Config{Capacity: 4})
+	// RetainAll: an eviction alone does not force retention.
+	tr := New(Config{Capacity: 4, RetainAll: true})
 	regA, regB := &fakeReg{}, &fakeReg{}
 	ctxA := tr.Start("alpha")
 	tr.Bind(regA, ctxA)
@@ -171,14 +224,14 @@ func TestNilTracerAndContext(t *testing.T) {
 	if c != nil {
 		t.Fatal("nil tracer minted a context")
 	}
-	c.GateSpan("d")()
+	c.Gate("gate:d", "d", time.Now(), 0, nil)
 	c.Span("s", "")()
 	c.Instant("i", "", "")
 	c.MarkFault("f")
 	c.MarkRecovery("retry", "c")
 	c.MarkEviction("v", 1)
 	c.Finish()
-	if c.ID() != "" || c.Tenant() != "" || c.Flagged() {
+	if c.ID() != "" || c.Tenant() != "" {
 		t.Error("nil context leaked state")
 	}
 	tr.Bind(&fakeReg{}, nil)
@@ -205,11 +258,10 @@ func TestConcurrentRequests(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				c := tr.Start(fmt.Sprintf("tenant%d", g))
-				end := c.GateSpan("libu")
 				if i%10 == 0 {
 					c.MarkFault("injected")
 				}
-				end()
+				gate(c, nil, time.Microsecond)
 				c.Finish()
 			}
 		}(g)
@@ -234,9 +286,8 @@ func TestConcurrentRequests(t *testing.T) {
 func TestLateSpanAfterFinish(t *testing.T) {
 	tr := New(Config{Capacity: 4, RetainAll: true})
 	c := tr.Start("x")
-	end := c.GateSpan("libu")
 	c.Finish()
-	end() // late exit: histogram may still observe, but the trace is sealed
+	gate(c, nil, time.Microsecond) // late exit: the trace is sealed
 	got := tr.Retained()
 	if len(got) != 1 {
 		t.Fatalf("retained %d", len(got))
@@ -249,9 +300,8 @@ func TestLateSpanAfterFinish(t *testing.T) {
 func TestChromeExportShape(t *testing.T) {
 	tr := New(Config{Capacity: 4})
 	c := tr.Start("tenant-a")
-	end := c.GateSpan("libu")
 	c.MarkFault("addr=0x2000")
-	end()
+	gate(c, nil, time.Microsecond)
 	c.Finish()
 
 	var buf bytes.Buffer
@@ -305,84 +355,5 @@ func TestChromeExportShape(t *testing.T) {
 	if !haveMeta || !haveRequest || !haveGate || !haveFault {
 		t.Errorf("export missing rows: meta=%v request=%v gate=%v fault=%v\n%s",
 			haveMeta, haveRequest, haveGate, haveFault, buf.String())
-	}
-}
-
-// fakeSampler implements SamplerControl for controller tests.
-type fakeSampler struct{ n int }
-
-func (f *fakeSampler) Interval() int { return f.n }
-func (f *fakeSampler) SetInterval(n int) {
-	if n < 1 {
-		n = 1
-	}
-	f.n = n
-}
-
-// TestControllerRetunesOnLatencyShift is the acceptance criterion: the
-// controller measurably changes the sampling interval when injected gate
-// latency shifts across the target.
-func TestControllerRetunesOnLatencyShift(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	tr := New(Config{Capacity: 4, Registry: reg})
-	s := &fakeSampler{n: 8}
-	ctl := &Controller{Sampler: s, Registry: reg, Target: 10 * time.Microsecond, Min: 1, Max: 64, MinSamples: 8}
-
-	// Phase 1: hot gates — injected latencies far above target. The
-	// controller must back off (double the interval).
-	hot := tr.Start("hot")
-	for i := 0; i < 32; i++ {
-		tr.observeGate("libu", 100*time.Microsecond, hot.ID())
-	}
-	hot.Finish()
-	r := ctl.Retune()
-	if !r.Changed || r.New != 16 {
-		t.Fatalf("hot retune = %+v, want interval 8→16", r)
-	}
-	// Same window again: no new observations, must hold.
-	if r := ctl.Retune(); r.Changed {
-		t.Fatalf("retuned on stale window: %+v", r)
-	}
-
-	// Phase 2: flood with fast observations until the merged p99 sits
-	// under half the target, then the controller leans back in.
-	cold := tr.Start("cold")
-	for i := 0; i < 20000; i++ {
-		tr.observeGate("libu", 100*time.Nanosecond, cold.ID())
-	}
-	cold.Finish()
-	r = ctl.Retune()
-	if !r.Changed || r.New != 8 {
-		t.Fatalf("cold retune = %+v (p99=%v), want interval 16→8", r, r.P99)
-	}
-}
-
-func TestControllerClampsAndMinSamples(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	tr := New(Config{Capacity: 4, Registry: reg})
-	s := &fakeSampler{n: 1}
-	ctl := &Controller{Sampler: s, Registry: reg, Target: time.Microsecond, Min: 1, Max: 4, MinSamples: 8}
-
-	// Too few samples: hold even though p99 is over target.
-	c := tr.Start("x")
-	tr.observeGate("libu", time.Millisecond, c.ID())
-	c.Finish()
-	if r := ctl.Retune(); r.Changed {
-		t.Fatalf("retuned under MinSamples: %+v", r)
-	}
-	// Enough samples: double, but never past Max.
-	for i := 0; i < 32; i++ {
-		tr.observeGate("libu", time.Millisecond, "t")
-	}
-	ctl.Retune() // 1 → 2
-	for i := 0; i < 8; i++ {
-		tr.observeGate("libu", time.Millisecond, "t")
-	}
-	ctl.Retune() // 2 → 4
-	for i := 0; i < 8; i++ {
-		tr.observeGate("libu", time.Millisecond, "t")
-	}
-	if r := ctl.Retune(); r.New != 4 {
-		t.Fatalf("interval escaped Max: %+v", r)
 	}
 }

@@ -1,6 +1,7 @@
 package jsengine
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -128,5 +129,49 @@ func TestSyntaxErrorMessage(t *testing.T) {
 	_, err := evalIn(t, prog, "\n\nvar = 5;")
 	if err == nil || !strings.Contains(err.Error(), "line 3") {
 		t.Errorf("syntax error lacks line: %v", err)
+	}
+}
+
+// TestStepBudgetPerInvocation: the step limit bounds each top-level
+// invocation, not the engine's life. Two calls of 0.6x the limit both
+// succeed, one call of 1.5x fails, and Steps() keeps counting across
+// all of them.
+func TestStepBudgetPerInvocation(t *testing.T) {
+	const limit = 100_000
+	reg := ffi.NewRegistry()
+	eng := NewEngine(Options{StepLimit: limit})
+	if err := eng.Install(reg, DefaultLib); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := core.NewProgram(reg, core.Base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := prog.Main()
+	if _, err := eng.Eval(th, "function spin(n) { var i = 0; while (i < n) { i = i + 1; } return i; }"); err != nil {
+		t.Fatal(err)
+	}
+	// Calibrate: the steps one spin(n) takes grow linearly with n.
+	stepsOf := func(n float64) uint64 {
+		before := eng.Steps()
+		if _, err := eng.CallFunction(th, "spin", Num(n)); err != nil {
+			t.Fatal(err)
+		}
+		return eng.Steps() - before
+	}
+	base, per := stepsOf(0), float64(stepsOf(1000)-stepsOf(0))/1000
+	iters := func(share float64) float64 { return float64(int((share*limit - float64(base)) / per)) }
+
+	start := eng.Steps()
+	for i := 0; i < 2; i++ {
+		if _, err := eng.CallFunction(th, "spin", Num(iters(0.6))); err != nil {
+			t.Fatalf("call %d of 0.6x the limit: %v", i+1, err)
+		}
+	}
+	if spent := eng.Steps() - start; spent < limit {
+		t.Fatalf("two calls spent %d steps, want more than the limit %d", spent, limit)
+	}
+	if _, err := eng.CallFunction(th, "spin", Num(iters(1.5))); !errors.Is(err, ErrStepLimit) {
+		t.Fatalf("call of 1.5x the limit = %v, want ErrStepLimit", err)
 	}
 }

@@ -72,7 +72,8 @@ func (e *Engine) Install(reg *ffi.Registry, lib string) error {
 		for i, raw := range args[1:] {
 			vals[i] = Num(math.Float64frombits(raw))
 		}
-		ctx := &execCtx{eng: e, th: th}
+		ctx := e.enter(th)
+		defer e.leave()
 		v, err := ctx.invoke(e.fnIDs[id-1], vals)
 		if err != nil {
 			return nil, err

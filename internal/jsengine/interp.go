@@ -37,15 +37,23 @@ type Engine struct {
 	strIDs   map[string]uint64
 	strVals  []string
 
-	steps     uint64
+	steps     uint64 // over the engine's life
 	stepLimit uint64
+	// stepsEnd is the step count at which the running top-level
+	// invocation exhausts its budget; depth counts the invocations in
+	// progress, so that a nested one spends from the outer budget.
+	stepsEnd uint64
+	depth    int
 }
 
 // Options tunes a new engine.
 type Options struct {
 	// Output receives print() output (default io.Discard).
 	Output io.Writer
-	// StepLimit bounds evaluated AST nodes per engine (default 200M).
+	// StepLimit bounds the AST nodes one top-level invocation — an Eval,
+	// a CallFunction, or an eval or invoke through the FFI surface — may
+	// evaluate (default 200M). Each invocation gets a fresh budget, so a
+	// long-lived engine never runs out.
 	StepLimit uint64
 }
 
@@ -75,8 +83,21 @@ func NewEngine(opts ...Options) *Engine {
 // RegisterHost binds a host function visible to scripts as name(...).
 func (e *Engine) RegisterHost(name string, fn HostFunc) { e.hosts[name] = fn }
 
-// Steps returns the number of AST nodes evaluated so far.
+// Steps returns the number of AST nodes evaluated over the engine's life.
 func (e *Engine) Steps() uint64 { return e.steps }
+
+// enter opens an invocation on th. A top-level invocation gets a fresh
+// budget of StepLimit steps; one nested inside another (a host binding
+// re-entering the engine) spends from the outer budget. Pair with leave.
+func (e *Engine) enter(th *ffi.Thread) *execCtx {
+	if e.depth == 0 {
+		e.stepsEnd = e.steps + e.stepLimit
+	}
+	e.depth++
+	return &execCtx{eng: e, th: th}
+}
+
+func (e *Engine) leave() { e.depth-- }
 
 // Global returns a global binding (for tests and embedders).
 func (e *Engine) Global(name string) (Value, bool) {
@@ -100,7 +121,8 @@ func (e *Engine) Eval(th *ffi.Thread, src string) (Value, error) {
 			e.funcs[fd.name] = fd
 		}
 	}
-	ctx := &execCtx{eng: e, th: th}
+	ctx := e.enter(th)
+	defer e.leave()
 	var last Value
 	for _, s := range prog {
 		if _, ok := s.(*funcDecl); ok {
@@ -124,7 +146,8 @@ func (e *Engine) CallFunction(th *ffi.Thread, name string, args ...Value) (Value
 	if !ok {
 		return Null(), fmt.Errorf("jsengine: no function %q", name)
 	}
-	ctx := &execCtx{eng: e, th: th}
+	ctx := e.enter(th)
+	defer e.leave()
 	return ctx.invoke(fd, args)
 }
 
@@ -168,7 +191,7 @@ type execCtx struct {
 
 func (c *execCtx) tick(line int) error {
 	c.eng.steps++
-	if c.eng.steps > c.eng.stepLimit {
+	if c.eng.steps > c.eng.stepsEnd {
 		return &RuntimeError{Line: line, Err: ErrStepLimit}
 	}
 	return nil

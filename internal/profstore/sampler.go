@@ -43,10 +43,8 @@ type SiteObs struct {
 // faults, it watches what trusted data actually flows through the gates,
 // at a configurable sampling interval so the hot path stays cheap.
 type Sampler struct {
-	resolve Resolver
-	// interval is atomic so the adaptive controller (gatetrace.Controller)
-	// can retune it while the gate path reads it lock-free.
-	interval atomic.Uint64
+	resolve  Resolver
+	interval uint64 // fixed at construction, >= 1
 	ring     *trace.Ring
 
 	seen    atomic.Uint64 // forward crossings observed
@@ -67,11 +65,11 @@ type Sampler struct {
 // ffi.Runtime.SetCrossingSink (core.Options.Crossings does both).
 func NewSampler(cfg SamplerConfig) *Sampler {
 	s := &Sampler{
-		resolve: cfg.Resolve,
-		ring:    cfg.Ring,
-		sites:   make(map[profile.AllocID]*SiteObs),
+		resolve:  cfg.Resolve,
+		interval: uint64(max(cfg.Interval, 1)),
+		ring:     cfg.Ring,
+		sites:    make(map[profile.AllocID]*SiteObs),
 	}
-	s.SetInterval(cfg.Interval)
 	if reg := cfg.Telemetry; reg != nil {
 		s.mCrossings = reg.CounterVec("pkrusafe_profile_crossings_total",
 			"Sampled forward gate crossings attributed to an allocation site.", "site")
@@ -91,7 +89,7 @@ func NewSampler(cfg SamplerConfig) *Sampler {
 // gate traversal with the argument words the call carried into U.
 func (s *Sampler) ObserveCrossing(lib string, args []uint64, latency time.Duration) {
 	n := s.seen.Add(1)
-	if iv := s.interval.Load(); iv > 1 && n%iv != 0 {
+	if n%s.interval != 0 {
 		return
 	}
 	s.sampled.Add(1)
@@ -151,28 +149,13 @@ func (s *Sampler) note(id profile.AllocID, size, addr uint64, latency time.Durat
 	s.mu.Unlock()
 }
 
-// Interval returns the current sampling interval (sample every Nth
-// forward crossing; 1 samples all). Together with SetInterval this
-// implements gatetrace.SamplerControl, the knob the adaptive controller
-// turns.
+// Interval returns the sampling interval (sample every Nth forward
+// crossing; 1 samples all).
 func (s *Sampler) Interval() int {
 	if s == nil {
 		return 1
 	}
-	return int(s.interval.Load())
-}
-
-// SetInterval replaces the sampling interval, clamping to >= 1. Safe to
-// call concurrently with ObserveCrossing: the gate path reads the value
-// atomically once per crossing.
-func (s *Sampler) SetInterval(n int) {
-	if s == nil {
-		return
-	}
-	if n < 1 {
-		n = 1
-	}
-	s.interval.Store(uint64(n))
+	return int(s.interval)
 }
 
 // Seen returns how many forward crossings passed the sampler.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ffi"
+	"repro/internal/gatetrace"
 	"repro/internal/mpk"
 	"repro/internal/obs"
 	"repro/internal/pkalloc"
@@ -348,5 +349,39 @@ func TestRecoveryMetricsExported(t *testing.T) {
 		if !seen {
 			t.Errorf("metric %s not exported", name)
 		}
+	}
+}
+
+// TestNilShieldMarksFault: the abort policy recovers nothing, but a
+// compartment fault still marks the request's trace, so the trace of a
+// failed request is retained; an ordinary error marks nothing.
+func TestNilShieldMarksFault(t *testing.T) {
+	rt, reg, _ := world(t)
+	secret, err := rt.Alloc.Alloc(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.MustLibrary("u", ffi.Untrusted).Define("peek", func(th *ffi.Thread, _ []uint64) ([]uint64, error) {
+		_, err := th.Load64(secret)
+		return nil, err
+	})
+	reg.MustLibrary("u", ffi.Untrusted).Define("fail", func(*ffi.Thread, []uint64) ([]uint64, error) {
+		return nil, errors.New("ordinary")
+	})
+	tracer := gatetrace.New(gatetrace.Config{})
+	th := rt.NewThread()
+	var s *Supervisor
+	for _, fn := range []string{"fail", "peek"} {
+		tc := tracer.Start("u")
+		th.SetTraceContext(tc)
+		if err := s.Shield(th, "u."+fn, func() error { _, err := th.Call("u", fn); return err }); err == nil {
+			t.Fatalf("u.%s succeeded", fn)
+		}
+		th.SetTraceContext(nil)
+		tc.Finish()
+	}
+	got := tracer.Retained()
+	if len(got) != 1 || !got[0].Faulted {
+		t.Fatalf("retained %+v, want the one faulted trace", got)
 	}
 }

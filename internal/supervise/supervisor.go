@@ -141,9 +141,16 @@ func (s *Supervisor) Call(t *ffi.Thread, lib, fn string, args ...uint64) ([]uint
 // work in events and errors (pkru-servo uses one Shield per request). The
 // body may be re-executed by the Retry and Heal policies, so it must be
 // safe to run again after an unwind — a cross-compartment call is.
+// A nil supervisor (the abort policy) runs body once and recovers
+// nothing, but still marks a compartment failure on the request's
+// trace, so the trace of every failed request is retained.
 func (s *Supervisor) Shield(t *ffi.Thread, label string, body func() error) error {
 	if s == nil {
-		return body()
+		err := body()
+		if isCompartmentFailure(err) {
+			t.TraceContext().MarkFault(err.Error())
+		}
+		return err
 	}
 	cp := t.Checkpoint()
 	for attempt := 1; ; attempt++ {

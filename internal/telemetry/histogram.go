@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"sync/atomic"
+	"time"
 )
 
 // numBuckets is one bucket per possible bit length of a uint64 (0..64).
@@ -67,21 +68,23 @@ func (h *Histogram) Observe(v uint64) {
 }
 
 // ObserveEx records one value and, when traceID is non-empty, publishes it
-// as the bucket's exemplar. The exemplar write is a single atomic pointer
-// store, so ObserveEx stays lock-free and safe under concurrent callers;
-// racing writers simply overwrite each other, which is the semantics we
-// want (keep a recent example, not all of them).
+// as the bucket's exemplar (see SetExemplar).
 func (h *Histogram) ObserveEx(v uint64, traceID string) {
-	if h == nil {
+	h.Observe(v)
+	h.SetExemplar(v, traceID)
+}
+
+// SetExemplar publishes an already observed value as its bucket's
+// exemplar, without counting it again; an empty traceID is ignored. The
+// write is a single atomic pointer store, so it stays lock-free and safe
+// under concurrent callers; racing writers simply overwrite each other,
+// which is the semantics we want (keep a recent example, not all of
+// them).
+func (h *Histogram) SetExemplar(v uint64, traceID string) {
+	if h == nil || traceID == "" {
 		return
 	}
-	i := bucketIndex(v)
-	h.count.Add(1)
-	h.sum.Add(v)
-	h.buckets[i].Add(1)
-	if traceID != "" {
-		h.exemplars[i].Store(&Exemplar{TraceID: traceID, Value: v})
-	}
+	h.exemplars[bucketIndex(v)].Store(&Exemplar{TraceID: traceID, Value: v})
 }
 
 // Exemplars returns the current exemplars, lowest bucket first, with
@@ -171,4 +174,18 @@ func quantileFromBuckets(buckets []uint64, count uint64, q float64) float64 {
 		cum += c
 	}
 	return float64(bucketUpper(len(buckets) - 1))
+}
+
+// SampleQuantile reads the q-quantile of ascending-sorted exact samples
+// by nearest rank: no interpolation, the answer is always one of the
+// samples. It returns 0 for no samples.
+func SampleQuantile(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(q*float64(len(sorted)-1) + 0.5)
+	if idx >= len(sorted) {
+		idx = len(sorted) - 1
+	}
+	return sorted[idx]
 }

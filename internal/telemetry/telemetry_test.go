@@ -7,8 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/trace"
+	"time"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -117,9 +116,9 @@ func TestNilRegistryNoOps(t *testing.T) {
 	if err := r.WritePrometheus(&sb); err != nil || sb.Len() != 0 {
 		t.Fatalf("nil registry WritePrometheus wrote %q, err %v", sb.String(), err)
 	}
-	sp := StartSpan(nil, nil, "inert")
+	sp := StartSpan(nil)
 	if sp.Active() || sp.End() != 0 {
-		t.Fatal("span with no sinks must be inert")
+		t.Fatal("span with no histogram must be inert")
 	}
 }
 
@@ -262,10 +261,9 @@ func TestBucketBounds(t *testing.T) {
 	}
 }
 
-func TestSpanFeedsHistogramAndRing(t *testing.T) {
+func TestSpanFeedsHistogram(t *testing.T) {
 	h := new(Histogram)
-	ring := trace.NewRing(8)
-	sp := StartSpan(h, ring, "gate")
+	sp := StartSpan(h)
 	if !sp.Active() {
 		t.Fatal("span should be active")
 	}
@@ -275,13 +273,6 @@ func TestSpanFeedsHistogramAndRing(t *testing.T) {
 	}
 	if h.Count() != 1 {
 		t.Fatalf("histogram count = %d, want 1", h.Count())
-	}
-	evs := ring.Snapshot()
-	if len(evs) != 1 || evs[0].Kind != trace.Span || evs[0].Note != "gate" {
-		t.Fatalf("ring events = %+v", evs)
-	}
-	if !strings.Contains(evs[0].String(), "span") {
-		t.Fatalf("event string = %q", evs[0].String())
 	}
 }
 
@@ -296,5 +287,23 @@ func TestHistogramQuantilesMergesSeries(t *testing.T) {
 	}
 	if vals[0] > 20 || vals[1] < 500 {
 		t.Fatalf("merged quantiles = %v", vals)
+	}
+}
+
+func TestSampleQuantile(t *testing.T) {
+	if got := SampleQuantile(nil, 0.5); got != 0 {
+		t.Fatalf("empty = %v, want 0", got)
+	}
+	sorted := make([]time.Duration, 100)
+	for i := range sorted {
+		sorted[i] = time.Duration(i+1) * time.Microsecond
+	}
+	for _, c := range []struct {
+		q    float64
+		want time.Duration
+	}{{0, time.Microsecond}, {0.5, 51 * time.Microsecond}, {0.99, 99 * time.Microsecond}, {1, 100 * time.Microsecond}, {2, 100 * time.Microsecond}} {
+		if got := SampleQuantile(sorted, c.q); got != c.want {
+			t.Errorf("q=%v: got %v, want %v", c.q, got, c.want)
+		}
 	}
 }

@@ -30,9 +30,6 @@ const (
 	// Record: the profiler attributed a fault to an allocation site
 	// (A = object base, Note = AllocId).
 	Record
-	// Span: a telemetry span ended (A = duration in nanoseconds,
-	// Note = span name).
-	Span
 	// Recover: the fault supervisor unwound a failed compartment call back
 	// to its recovery point (A = PKRU restored, Note = policy outcome).
 	Recover
@@ -60,8 +57,6 @@ func (k Kind) String() string {
 		return "resume"
 	case Record:
 		return "record"
-	case Span:
-		return "span"
 	case Recover:
 		return "recover"
 	case Heal:
@@ -103,8 +98,6 @@ func (e Event) String() string {
 		return fmt.Sprintf("%s addr=%#x site=%s lat=%v", prefix, e.A, e.Note, time.Duration(e.B))
 	case ProfileSwap:
 		return fmt.Sprintf("%s generation=%d prev=%d source=%s", prefix, e.A, e.B, e.Note)
-	case Span:
-		return fmt.Sprintf("%s %s took=%v", prefix, e.Note, time.Duration(e.A))
 	default:
 		return fmt.Sprintf("%s addr=%#x", prefix, e.A)
 	}

@@ -44,7 +44,7 @@ func TestWhenOrdersWithSeqConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				r.Emit(Event{Kind: Span, A: uint64(i)})
+				r.Emit(Event{Kind: GateExit, A: uint64(i)})
 			}
 		}()
 	}
@@ -71,7 +71,6 @@ func TestWriteEventsGolden(t *testing.T) {
 		{Seq: 4, When: 2600 * time.Microsecond, Kind: Fault, A: 0x2000, B: 1},
 		{Seq: 5, When: 4100 * time.Microsecond, Kind: Recover, A: 0xffffffff, Note: "retry"},
 		{Seq: 6, When: 4100*time.Microsecond + 500*time.Nanosecond, Kind: GateExit, A: 0xffffffff},
-		{Seq: 7, When: 5 * time.Millisecond, Kind: Span, A: uint64(1500 * time.Nanosecond), Note: "gate:libu"},
 	}
 	var b strings.Builder
 	WriteEvents(&b, events, 3, 8)
@@ -79,8 +78,7 @@ func TestWriteEventsGolden(t *testing.T) {
 		"#3 +0s           gate-enter pkru=0x5555000c\n" +
 		"#4 +100µs        fault      addr=0x2000 pkey=1\n" +
 		"#5 +1.6ms        recover    pkru=0xffffffff outcome=retry\n" +
-		"#6 +1.6005ms     gate-exit  pkru=0xffffffff\n" +
-		"#7 +2.5ms        span       gate:libu took=1.5µs\n"
+		"#6 +1.6005ms     gate-exit  pkru=0xffffffff\n"
 	if b.String() != want {
 		t.Fatalf("golden mismatch:\n got: %q\nwant: %q", b.String(), want)
 	}
