@@ -102,6 +102,11 @@ func DirectedTrace(f Fault) Trace {
 		{Kind: OpSetPKey, Addr: scratch, Size: 4 * 4096, Key: 0},
 		{Kind: OpWRPKRU, Value: mpk.PermitAll.With(3, mpk.DenyAll)},
 		{Kind: OpStore, Flags: FlagRawAddr, Addr: scratch + 4096, Size: 8},
+		// The store left that page in the thread's page cache; retagging
+		// it back to the denied key must fault the same thread's next
+		// access all the same.
+		{Kind: OpSetPKey, Addr: scratch + 4096, Size: 4096, Key: 3},
+		{Kind: OpLoad, Flags: FlagRawAddr, Addr: scratch + 4096, Size: 8},
 		{Kind: OpWRPKRU, Value: mpk.PermitAll},
 		// Gated call into U touching MT: must PKU-fault with AD|WD on the
 		// trusted key (swallow-segv erases the fault; leak-trusted-alloc

@@ -248,6 +248,36 @@ func TestCallNoGateCrashesOnMT(t *testing.T) {
 	}
 }
 
+// TestDeniedAccessErrorIsCheap: a denied access through an ffi thread is
+// an expected outcome on a request path. Its error unwraps to the vm
+// fault, reads "ffi: <op>: <fault>", and costs two allocations (the
+// fault and its wrapper) because the text is built only when read.
+func TestDeniedAccessErrorIsCheap(t *testing.T) {
+	rt, _ := world(t, GatesOn)
+	secret, err := rt.Alloc.Alloc(8) // MT allocation
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := rt.NewThread()
+	th.VM.SetRights(rt.UntrustedPKRU())
+	_, err = th.Load64(secret)
+	var f *vm.Fault
+	if !errors.As(err, &f) {
+		t.Fatalf("denied load: err = %v, want a *vm.Fault", err)
+	}
+	if got, want := err.Error(), "ffi: load64: "+f.Error(); got != want {
+		t.Errorf("error text = %q, want %q", got, want)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := th.Load64(secret); err == nil {
+			t.Fatal("denied load succeeded")
+		}
+	})
+	if allocs != 2 {
+		t.Errorf("denied load allocates %v objects, want 2", allocs)
+	}
+}
+
 func TestMallocRoutesByCompartment(t *testing.T) {
 	rt, reg := world(t, GatesOn)
 	var uAddr vm.Addr

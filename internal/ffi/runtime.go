@@ -612,13 +612,24 @@ func (t *Thread) Malloc(size uint64) (vm.Addr, error) {
 // Free releases an allocation from whichever pool owns it.
 func (t *Thread) Free(addr vm.Addr) error { return t.rt.Alloc.Free(addr) }
 
-// fault wraps a vm fault with call context.
+// callErr wraps a vm fault with call context.
 func callErr(op string, err error) error {
 	if err == nil {
 		return nil
 	}
-	return fmt.Errorf("ffi: %s: %w", op, err)
+	return &callError{op: op, err: err}
 }
+
+// callError is callErr's error. Its text is built only when read: a
+// denied access is an expected outcome on a request path, and formatting
+// every one would allocate several times what the access itself does.
+type callError struct {
+	op  string
+	err error
+}
+
+func (e *callError) Error() string { return "ffi: " + e.op + ": " + e.err.Error() }
+func (e *callError) Unwrap() error { return e.err }
 
 // Load64 reads a word through the thread's checked view of memory.
 func (t *Thread) Load64(addr vm.Addr) (uint64, error) {

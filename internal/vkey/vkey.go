@@ -143,7 +143,13 @@ type Table struct {
 	// an eviction while a callee ran can never resurrect rights for a
 	// rebound slot — the discipline domain entry and the ffi domain gates
 	// share.
-	stacks  map[mpk.RightsRegister][]ID
+	stacks map[mpk.RightsRegister][]ID
+	// spare holds the emptied stacks of registers that left their last
+	// frame, truncated to length 0, for the next first Enter to reuse:
+	// a register's stack would otherwise be reallocated on every
+	// request. The registers themselves keep nothing, and spare never
+	// holds more stacks than were ever live at once.
+	spare   [][]ID
 	clock   uint64
 	nextID  ID
 	nslots  int
@@ -417,7 +423,12 @@ func (t *Table) Enter(reg mpk.RightsRegister, id ID) (mpk.PKRU, error) {
 		}
 		return 0, err
 	}
-	t.stacks[reg] = append(t.stacks[reg], id)
+	st, ok := t.stacks[reg]
+	if !ok && len(t.spare) > 0 {
+		st = t.spare[len(t.spare)-1]
+		t.spare = t.spare[:len(t.spare)-1]
+	}
+	t.stacks[reg] = append(st, id)
 	return rights, nil
 }
 
@@ -454,8 +465,7 @@ func (t *Table) Leave(reg mpk.RightsRegister, outside mpk.PKRU) (mpk.PKRU, error
 		return 0, err
 	}
 	if len(st) == 1 {
-		delete(t.stacks, reg)
-		delete(t.threads, reg)
+		t.dropStackLocked(reg, st)
 	} else {
 		t.stacks[reg] = st[:len(st)-1]
 	}
@@ -516,11 +526,18 @@ func (t *Table) TruncateTo(reg mpk.RightsRegister, depth int) {
 		return
 	}
 	if depth == 0 {
-		delete(t.stacks, reg)
-		delete(t.threads, reg)
+		t.dropStackLocked(reg, st)
 		return
 	}
 	t.stacks[reg] = st[:depth]
+}
+
+// dropStackLocked removes reg's emptied compartment stack and unbinds the
+// register, keeping the stack's storage in spare for the next Enter.
+func (t *Table) dropStackLocked(reg mpk.RightsRegister, st []ID) {
+	delete(t.stacks, reg)
+	delete(t.threads, reg)
+	t.spare = append(t.spare, st[:0])
 }
 
 // lruLocked picks the evictable active entry with the oldest lastUse.

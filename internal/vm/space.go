@@ -11,9 +11,12 @@
 package vm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/mpk"
 )
@@ -42,10 +45,99 @@ func (a Addr) PageIndex() uint64 { return uint64(a) >> PageShift }
 
 func (a Addr) String() string { return fmt.Sprintf("%#x", uint64(a)) }
 
-// page is one resident 4 KiB page.
+// page is one resident 4 KiB page. Its key is an atomic word: retag
+// stores it under the Space lock, and every checked access loads it with
+// no lock at all.
 type page struct {
 	data []byte // allocated on first touch
-	pkey mpk.Key
+	pkey atomic.Uint32
+}
+
+func newPage(key mpk.Key) *page {
+	p := &page{data: make([]byte, PageSize)}
+	p.pkey.Store(uint32(key))
+	return p
+}
+
+// key returns the page's current protection key.
+func (p *page) key() mpk.Key { return mpk.Key(p.pkey.Load()) }
+
+const (
+	// chunkShift is log2 of the pages per page-table chunk. A chunk of 64
+	// pages is 512 B of pointers: domain pools sit 4 GiB apart, so every
+	// tenant's resident pages cost at least one chunk, and small chunks
+	// keep that cheap.
+	chunkShift = 6
+	chunkPages = 1 << chunkShift
+)
+
+// chunk holds the page pointers of chunkPages consecutive virtual pages.
+type chunk [chunkPages]*page
+
+// chunkRef names a chunk by its number (vpn >> chunkShift).
+type chunkRef struct {
+	num uint64
+	c   *chunk
+}
+
+// pageTable is the resident-page index. Point lookups go directory →
+// chunk slot; range walks binary-search the sorted chunk list and visit
+// only chunks that hold resident pages, so a retag of a 4 GiB pool costs
+// what its resident pages cost, not what its size does. Entries are only
+// ever added: no code removes a resident page (see Thread.tlb).
+type pageTable struct {
+	dir    map[uint64]*chunk
+	sorted []chunkRef // every chunk in dir, ascending by num
+	count  int        // resident pages
+}
+
+func (pt *pageTable) get(vpn uint64) *page {
+	if c := pt.dir[vpn>>chunkShift]; c != nil {
+		return c[vpn&(chunkPages-1)]
+	}
+	return nil
+}
+
+// put installs p at vpn, which must not be resident yet.
+func (pt *pageTable) put(vpn uint64, p *page) {
+	num := vpn >> chunkShift
+	c := pt.dir[num]
+	if c == nil {
+		c = new(chunk)
+		pt.dir[num] = c
+		pt.sorted = slices.Insert(pt.sorted, pt.search(num), chunkRef{num, c})
+	}
+	c[vpn&(chunkPages-1)] = p
+	pt.count++
+}
+
+// search returns the index of the first chunk numbered num or higher.
+func (pt *pageTable) search(num uint64) int {
+	i, _ := slices.BinarySearchFunc(pt.sorted, num, func(r chunkRef, n uint64) int { return cmp.Compare(r.num, n) })
+	return i
+}
+
+// each calls f on every resident page whose vpn is in [lo, hi), in
+// ascending order.
+func (pt *pageTable) each(lo, hi uint64, f func(*page)) {
+	for _, r := range pt.sorted[pt.search(lo>>chunkShift):] {
+		start := r.num << chunkShift
+		if start >= hi {
+			return
+		}
+		from, to := uint64(0), uint64(chunkPages)
+		if lo > start {
+			from = lo - start
+		}
+		if hi-start < to {
+			to = hi - start
+		}
+		for _, p := range r.c[from:to] {
+			if p != nil {
+				f(p)
+			}
+		}
+	}
 }
 
 // Region is a contiguous reservation of address space, the analogue of an
@@ -70,13 +162,13 @@ func (r *Region) Contains(a Addr) bool { return a >= r.Base && a < r.End() }
 // operations are internally synchronized.
 type Space struct {
 	mu      sync.RWMutex
-	pages   map[uint64]*page // virtual page number -> resident page
-	regions []*Region        // sorted by Base, non-overlapping
+	pages   pageTable
+	regions []*Region // sorted by Base, non-overlapping
 }
 
 // NewSpace returns an empty address space with no reservations.
 func NewSpace() *Space {
-	return &Space{pages: make(map[uint64]*page)}
+	return &Space{pages: pageTable{dir: make(map[uint64]*chunk)}}
 }
 
 // Reserve registers a region of address space with the given protection
@@ -142,22 +234,22 @@ func (s *Space) Regions() []*Region {
 func (s *Space) pageAt(a Addr) *page {
 	vpn := a.PageIndex()
 	s.mu.RLock()
-	p := s.pages[vpn]
+	p := s.pages.get(vpn)
 	s.mu.RUnlock()
 	if p != nil {
 		return p
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p = s.pages[vpn]; p != nil { // lost a race; someone else faulted it in
+	if p = s.pages.get(vpn); p != nil { // lost a race; someone else faulted it in
 		return p
 	}
 	r := s.regionAtLocked(a)
 	if r == nil {
 		return nil
 	}
-	p = &page{data: make([]byte, PageSize), pkey: r.PKey}
-	s.pages[vpn] = p
+	p = newPage(r.PKey)
+	s.pages.put(vpn, p)
 	return p
 }
 
@@ -191,9 +283,10 @@ func (s *Space) SetPKey(base Addr, size uint64, key mpk.Key) error {
 		a = r.End()
 	}
 	var added []*Region
-	for _, r := range s.regions {
-		if end <= r.Base || r.End() <= base {
-			continue
+	first := sort.Search(len(s.regions), func(i int) bool { return s.regions[i].End() > base })
+	for _, r := range s.regions[first:] {
+		if end <= r.Base {
+			break
 		}
 		lo, hi := r.Base, r.End()
 		if base > lo {
@@ -206,14 +299,11 @@ func (s *Space) SetPKey(base Addr, size uint64, key mpk.Key) error {
 		}
 		r.Base, r.Size, r.PKey = lo, uint64(hi-lo), key
 	}
-	s.regions = append(s.regions, added...)
-	sort.Slice(s.regions, func(i, j int) bool { return s.regions[i].Base < s.regions[j].Base })
-	for vpn, p := range s.pages {
-		a := Addr(vpn) << PageShift
-		if a >= base && a < end {
-			p.pkey = key
-		}
+	if len(added) > 0 {
+		s.regions = append(s.regions, added...)
+		slices.SortFunc(s.regions, func(a, b *Region) int { return cmp.Compare(a.Base, b.Base) })
 	}
+	s.pages.each(base.PageIndex(), end.PageIndex(), func(p *page) { p.pkey.Store(uint32(key)) })
 	return nil
 }
 
@@ -248,12 +338,11 @@ func (s *Space) SetPageKey(base Addr, size uint64, key mpk.Key) error {
 	}
 	for a := base; a < end; a += PageSize {
 		vpn := a.PageIndex()
-		p := s.pages[vpn]
-		if p == nil {
-			p = &page{data: make([]byte, PageSize)}
-			s.pages[vpn] = p
+		if p := s.pages.get(vpn); p != nil {
+			p.pkey.Store(uint32(key))
+		} else {
+			s.pages.put(vpn, newPage(key))
 		}
-		p.pkey = key
 	}
 	return nil
 }
@@ -272,14 +361,7 @@ func (s *Space) ZeroResident(base Addr, size uint64) error {
 	end := base + Addr(size)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for vpn, p := range s.pages {
-		a := Addr(vpn) << PageShift
-		if a >= base && a < end {
-			for i := range p.data {
-				p.data[i] = 0
-			}
-		}
-	}
+	s.pages.each(base.PageIndex(), end.PageIndex(), func(p *page) { clear(p.data) })
 	return nil
 }
 
@@ -288,8 +370,8 @@ func (s *Space) ZeroResident(base Addr, size uint64) error {
 func (s *Space) PKeyAt(a Addr) (mpk.Key, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if p := s.pages[a.PageIndex()]; p != nil {
-		return p.pkey, true
+	if p := s.pages.get(a.PageIndex()); p != nil {
+		return p.key(), true
 	}
 	if r := s.regionAtLocked(a); r != nil {
 		return r.PKey, true
@@ -325,8 +407,8 @@ func (s *Space) PageMapAround(a Addr, radius int) []PageInfo {
 	out := make([]PageInfo, 0, 2*radius+1)
 	for p := first; p < MaxAddr && len(out) < cap(out); p += PageSize {
 		info := PageInfo{Base: p}
-		if pg := s.pages[p.PageIndex()]; pg != nil {
-			info.Reserved, info.Resident, info.PKey = true, true, pg.pkey
+		if pg := s.pages.get(p.PageIndex()); pg != nil {
+			info.Reserved, info.Resident, info.PKey = true, true, pg.key()
 		} else if r := s.regionAtLocked(p); r != nil {
 			info.Reserved, info.PKey = true, r.PKey
 		}
@@ -343,7 +425,7 @@ func (s *Space) PageMapAround(a Addr, radius int) []PageInfo {
 func (s *Space) ResidentPages() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.pages)
+	return s.pages.count
 }
 
 // ResidentBytes returns ResidentPages expressed in bytes.

@@ -86,6 +86,38 @@ type Thread struct {
 	// metrics, when non-nil, mirrors the counters above into the
 	// process-wide telemetry registry (see metrics.go).
 	metrics *Metrics
+
+	// tlb is the thread's page cache, direct-mapped by vpn: a hit takes
+	// no lock and no page-table lookup. It caches page pointers, never
+	// keys — every check still loads the page's atomic key, so a retag is
+	// seen on the very next access. It needs no invalidation because the
+	// page table only grows: no code removes a resident page, so a cached
+	// pointer never goes stale. Adding unmapping would have to flush
+	// every thread's cache.
+	tlb [tlbEntries]tlbEntry
+}
+
+// tlbEntries is the size of a thread's page cache.
+const tlbEntries = 16
+
+type tlbEntry struct {
+	vpn uint64
+	p   *page
+}
+
+// pageAt resolves a through the thread's page cache, falling back to the
+// Space's page table (and faulting the page in) on a miss.
+func (t *Thread) pageAt(a Addr) *page {
+	vpn := a.PageIndex()
+	e := &t.tlb[vpn%tlbEntries]
+	if e.p != nil && e.vpn == vpn {
+		return e.p
+	}
+	p := t.space.pageAt(a)
+	if p != nil {
+		e.vpn, e.p = vpn, p
+	}
+	return p
 }
 
 // NewThread creates a thread on the given address space. The signal table
@@ -217,7 +249,7 @@ func (t *Thread) access(addr Addr, buf []byte, kind sig.AccessKind) error {
 // by pointer and therefore heap-escapes, which would cost an allocation on
 // every access.
 func (t *Thread) checkPage(a Addr, kind sig.AccessKind) (*page, error) {
-	if p := t.space.pageAt(a); p != nil && t.allowed(p.pkey, kind) {
+	if p := t.pageAt(a); p != nil && t.allowed(p.key(), kind) {
 		return p, nil
 	}
 	return t.checkPageSlow(a, kind)
@@ -225,7 +257,11 @@ func (t *Thread) checkPage(a Addr, kind sig.AccessKind) (*page, error) {
 
 func (t *Thread) checkPageSlow(a Addr, kind sig.AccessKind) (*page, error) {
 	for try := 0; ; try++ {
-		p := t.space.pageAt(a)
+		p := t.pageAt(a)
+		var key mpk.Key
+		if p != nil {
+			key = p.key() // one load: the check and the siginfo see the same key
+		}
 		var info sig.Info
 		switch {
 		case p == nil:
@@ -234,8 +270,8 @@ func (t *Thread) checkPageSlow(a Addr, kind sig.AccessKind) (*page, error) {
 			if m := t.metrics; m != nil {
 				m.MapFaults.Inc()
 			}
-		case !t.allowed(p.pkey, kind):
-			info = sig.Info{Sig: sig.SIGSEGV, Code: sig.CodePKUErr, Addr: uint64(a), Access: kind, PKey: uint8(p.pkey)}
+		case !t.allowed(key, kind):
+			info = sig.Info{Sig: sig.SIGSEGV, Code: sig.CodePKUErr, Addr: uint64(a), Access: kind, PKey: uint8(key)}
 			t.pkuFaults.Add(1)
 			if m := t.metrics; m != nil {
 				m.PKUFaults.Inc()
@@ -243,11 +279,15 @@ func (t *Thread) checkPageSlow(a Addr, kind sig.AccessKind) (*page, error) {
 		default:
 			return p, nil
 		}
+		// Handlers are given the Fault's own Info, so a fault that ends
+		// unhandled costs one allocation, not two.
+		f := &Fault{Info: info}
 		if try >= MaxFaultRetries {
-			return nil, &Fault{Info: info, PKRU: t.Rights()}
+			f.PKRU = t.Rights()
+			return nil, f
 		}
 		entry := t.Rights()
-		switch t.sigs.Dispatch(&info, t) {
+		switch t.sigs.Dispatch(&f.Info, t) {
 		case sig.Handled:
 			t.sigreturn(entry, false)
 			t.faultRetries.Add(1)
@@ -256,7 +296,8 @@ func (t *Thread) checkPageSlow(a Addr, kind sig.AccessKind) (*page, error) {
 			}
 			continue // handler repaired the state; re-execute the access
 		default:
-			return nil, &Fault{Info: info, PKRU: t.Rights()}
+			f.PKRU = t.Rights()
+			return nil, f
 		}
 	}
 }

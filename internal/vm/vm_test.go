@@ -155,6 +155,21 @@ func TestPKUViolationFaults(t *testing.T) {
 	}
 }
 
+// TestUnhandledFaultAllocatesOnce: signal handlers are given the
+// returned Fault's own siginfo, so an unhandled fault is one allocation.
+func TestUnhandledFaultAllocatesOnce(t *testing.T) {
+	_, th := newTestThread(t, 1)
+	th.SetRights(mpk.PermitAll.With(1, mpk.DenyAll))
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := th.Load64(testBase); err == nil {
+			t.Fatal("denied load succeeded")
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("unhandled fault allocates %v objects, want 1", allocs)
+	}
+}
+
 func TestWriteDisableAllowsReads(t *testing.T) {
 	_, th := newTestThread(t, 2)
 	addr := testBase
